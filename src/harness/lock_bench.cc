@@ -25,13 +25,15 @@ BenchResult RunLockBench(const BenchConfig& config) {
   if (config.num_threads < 1 || config.num_threads > machine.topology.num_cpus()) {
     throw std::invalid_argument("num_threads out of range for machine");
   }
+  if (!(config.duration_ms > 0.0)) {  // also rejects NaN
+    throw std::invalid_argument("duration_ms must be positive");
+  }
   if (!config.cpu_assignment.empty() &&
       static_cast<int>(config.cpu_assignment.size()) < config.num_threads) {
     throw std::invalid_argument("cpu_assignment shorter than num_threads");
   }
 
   sim::Engine engine(machine.topology, machine.platform);
-  engine.SetScheduler(config.spec.scheduler);
   engine.SetEventSink(config.trace_sink);
   if (config.watchdog.Enabled()) {
     engine.SetWatchdog(config.watchdog);

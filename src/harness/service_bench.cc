@@ -35,6 +35,9 @@ ServiceBenchResult RunServiceBench(const ServiceBenchConfig& config) {
   if (config.num_threads < 1 || config.num_threads > machine.topology.num_cpus()) {
     throw std::invalid_argument("num_threads out of range for machine");
   }
+  if (!(config.duration_ms > 0.0)) {  // also rejects NaN
+    throw std::invalid_argument("duration_ms must be positive");
+  }
   const double offered =
       config.offered_load_per_us > 0.0 ? config.offered_load_per_us
                                        : config.service.arrival_rate_per_us;
@@ -76,7 +79,6 @@ ServiceBenchResult RunServiceBench(const ServiceBenchConfig& config) {
                                             static_cast<double>(config.num_threads));
 
   sim::Engine engine(machine.topology, machine.platform);
-  engine.SetScheduler(config.spec.scheduler);
   if (config.watchdog.Enabled()) {
     engine.SetWatchdog(config.watchdog);
   }

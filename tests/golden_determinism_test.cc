@@ -159,11 +159,37 @@ uint64_t CellTranscript(const sim::Machine& machine, bool ctr_registry) {
   return t.hash();
 }
 
-// Golden constants: the pre-refactor capture described in the header comment.
+// Two 4-level cells over all 1024 CPUs of the CXL pod. The mcs stack keeps handovers
+// local, leaving long idle stretches between wakeups; the uniform ticket stack spins
+// globally, so each release wakes a herd of ~1024 waiters at one virtual time and
+// drives the ready queue's bulk-wake path.
+uint64_t Cxl1024Transcript() {
+  const sim::Machine machine = sim::Machine::CxlPod1024();
+  harness::BenchConfig config;
+  config.spec.machine = &machine;
+  config.spec.hierarchy =
+      topo::Hierarchy::Select(machine.topology, {"cache", "numa", "pod", "system"});
+  config.spec.registry = &SimRegistry(true);
+
+  Transcript t;
+  config.lock_name = "mcs-mcs-mcs-mcs";
+  config.num_threads = 64;
+  config.duration_ms = 0.15;
+  HashBenchResult(t, harness::RunLockBench(config));
+  config.lock_name = "tkt-tkt-tkt-tkt";
+  config.num_threads = 1024;
+  config.duration_ms = 0.1;
+  HashBenchResult(t, harness::RunLockBench(config));
+  return t.hash();
+}
+
+// Golden constants: the pre-refactor capture described in the header comment, except
+// kCxl1024CellsGolden, captured later at an engine with an unchanged model.
 constexpr uint64_t kArmSweepGolden = 0x881010769f3bdf0bull;
 constexpr uint64_t kX86SweepGolden = 0x0ed8e304be0aae85ull;
 constexpr uint64_t kArmCellsGolden = 0x722ebbc8952e57cfull;
 constexpr uint64_t kX86CellsGolden = 0x0df4c1e0649bc89eull;
+constexpr uint64_t kCxl1024CellsGolden = 0xff81b46ef8ea1bf6ull;
 
 TEST(GoldenDeterminismTest, ArmSweepTranscriptMatchesCapture) {
   uint64_t actual = SweepTranscript(sim::Machine::PaperArm(), false);
@@ -183,6 +209,11 @@ TEST(GoldenDeterminismTest, ArmFaultedAndUnfaultedCellsMatchCapture) {
 TEST(GoldenDeterminismTest, X86FaultedAndUnfaultedCellsMatchCapture) {
   uint64_t actual = CellTranscript(sim::Machine::PaperX86(), true);
   EXPECT_EQ(actual, kX86CellsGolden) << "actual 0x" << std::hex << actual;
+}
+
+TEST(GoldenDeterminismTest, CxlPod1024FourLevelCellsMatchCapture) {
+  uint64_t actual = Cxl1024Transcript();
+  EXPECT_EQ(actual, kCxl1024CellsGolden) << "actual 0x" << std::hex << actual;
 }
 
 }  // namespace

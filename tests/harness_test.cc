@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include "src/clof/registry.h"
+#include "src/harness/service_bench.h"
+#include "src/workload/service.h"
+
 namespace clof::harness {
 namespace {
 
@@ -93,6 +97,30 @@ TEST(HarnessTest, ValidatesConfig) {
   config.num_threads = 8;
   config.spec.machine = nullptr;
   EXPECT_THROW(RunLockBench(config), std::invalid_argument);
+}
+
+// A non-positive duration has no end time: a negative one used to convert to a huge
+// virtual deadline and run without bound, and zero divided by zero elapsed time.
+TEST(HarnessTest, RejectsNonPositiveDuration) {
+  auto machine = sim::Machine::PaperArm();
+  auto config = BaseConfig(machine);
+  for (double duration_ms : {0.0, -1.0}) {
+    config.duration_ms = duration_ms;
+    EXPECT_THROW(RunLockBench(config), std::invalid_argument) << duration_ms;
+  }
+
+  ServiceBenchConfig service;
+  service.spec.machine = &machine;
+  service.spec.hierarchy = topo::Hierarchy::Select(machine.topology, {"numa", "system"});
+  service.spec.registry = &SimRegistry(false);
+  service.service = workload::ServiceProfile::MiniProxy(2);
+  service.site_locks = {"mcs-mcs", "clh-clh", "mcs-tkt"};
+  service.num_threads = 8;
+  service.offered_load_per_us = 4.0;
+  for (double duration_ms : {0.0, -1.0}) {
+    service.duration_ms = duration_ms;
+    EXPECT_THROW(RunServiceBench(service), std::invalid_argument) << duration_ms;
+  }
 }
 
 }  // namespace
