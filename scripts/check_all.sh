@@ -26,7 +26,10 @@
 # must survive the sweep unquarantined and beat the best non-combining entry at the
 # saturated end. A timeout smoke stage runs the deadline-bounded service curve
 # (docs/TIMEOUT.md) with --check: the unbounded baseline must cross the latency knee
-# at top load while the deadline run sheds late requests and keeps p999 bounded.
+# at top load while the deadline run sheds late requests and keeps p999 bounded. A
+# stress smoke stage runs both --sweep re-rankings (--robustness and --latency,
+# select::RunStressRanking) on a small grid, so the two report paths of the one
+# re-ranking stay exercised end to end.
 set -uo pipefail
 cd "$(dirname "$0")/.."
 
@@ -89,6 +92,14 @@ timeout_smoke() {
   ./build/tools/clof_bench --service --quick --deadline=2000 --check
 }
 
+stress_smoke() {
+  # Both stress objectives over a 2-level, 2-point sweep: exits nonzero if either the
+  # retention or the worst-p999 re-ranking fails to run.
+  local grid=(--levels=numa,system --threads=4,16 --duration_ms=0.05)
+  ./build/tools/clof_bench --sweep --robustness=2 "${grid[@]}" &&
+    ./build/tools/clof_bench --sweep --latency=2 "${grid[@]}"
+}
+
 perf_stage() {
   # Both scenarios: the historical fig9-style hot path and the 1024-CPU scale scenario.
   scripts/bench_wallclock.sh "check_all" || return $?
@@ -137,6 +148,7 @@ run_stage "adaptive smoke" adaptive_smoke
 run_stage "service smoke" service_smoke
 run_stage "combining smoke" combining_smoke
 run_stage "timeout smoke" timeout_smoke
+run_stage "stress smoke" stress_smoke
 run_stage "asan+ubsan" scripts/check_sanitized.sh
 run_stage "tsan" scripts/check_tsan.sh
 if [[ "${perf}" -eq 1 ]]; then

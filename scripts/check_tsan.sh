@@ -3,7 +3,7 @@
 # preset (CMakePresets.json) and runs the tests that exercise real concurrency — the
 # clof::exec work-stealing executor, the content-addressed result cache, the parallel
 # scripted sweep (including its serialized in-order on_lock_done delivery), the
-# parallel robustness matrix and its fault injectors, the parallelized ping-pong
+# parallel stress re-ranking matrix and its fault injectors, the parallelized ping-pong
 # heatmap, the quarantine/journal resume paths, the parallel torture harness, the
 # adaptive facade's sweep/torture determinism tests, the multi-lock service layer
 # (per-site parallel sweeps, the service bench, the MiniProxy app under real
@@ -18,4 +18,4 @@ cd "$(dirname "$0")/.."
 cmake --preset tsan
 cmake --build --preset tsan -j "$(nproc)"
 ctest --preset tsan -j "$(nproc)" \
-  -R 'Executor|Fingerprint|ResultCache|ParallelSweep|Heatmap|Native|Fault|Robustness|Torture|Journal|HexDouble|Adaptive|Service|SiteSelection|MiniProxy|Combining|CcSynch|HSynch|Timeout|McsT|LatencySelection' "$@"
+  -R 'Executor|Fingerprint|ResultCache|ParallelSweep|Heatmap|Native|Fault|Robustness|Torture|Journal|HexDouble|Adaptive|Service|SiteSelection|MiniProxy|Combining|CcSynch|HSynch|Timeout|McsT|StressRanking' "$@"

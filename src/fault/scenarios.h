@@ -1,6 +1,6 @@
-// Named perturbation scenarios: the matrix the robustness sweep runs every candidate
-// lock through (select::RunRobustnessBenchmark), and the parser behind clof_bench's
-// --fault= flag. Each scenario is one FaultPlan; DefaultMatrix covers each injector
+// Named perturbation scenarios: the matrices the stress re-ranking runs every candidate
+// lock through (select::RunStressRanking), and the parser behind clof_bench's --fault=
+// flag. Each scenario is one FaultPlan; DefaultMatrix covers each injector
 // alone at its default severity plus a combined "storm".
 #ifndef CLOF_SRC_FAULT_SCENARIOS_H_
 #define CLOF_SRC_FAULT_SCENARIOS_H_
@@ -18,8 +18,10 @@ struct Scenario {
   FaultPlan plan;
 };
 
-// The default robustness matrix: preempt, hetero, interference, churn, storm (all
-// four at once). `seed` feeds each plan's seed so the matrix is reproducible.
+// The default matrix of the retention objective (StressObjective::kRetention): preempt,
+// hetero, interference, churn, storm (all four at once). `seed` feeds each plan's seed
+// so the matrix is reproducible. Its churn entry equals PlanFromSpec("churn", seed), the
+// worst-p999 objective's default scenario, so the two objectives share those cells.
 std::vector<Scenario> DefaultMatrix(uint64_t seed);
 
 // The torture matrix (docs/TORTURE.md): an unperturbed baseline ("none") followed by

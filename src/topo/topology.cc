@@ -82,23 +82,25 @@ Topology::Topology(std::string name, int num_cpus, std::vector<Level> levels)
       index.members[static_cast<size_t>(next[level.cpu_to_cohort[cpu]]++)] = cpu;
     }
   }
-  // Precompute the pairwise sharing-level matrix (see SharingLevel in the header).
-  sharing_level_.assign(static_cast<size_t>(num_cpus_) * num_cpus_,
-                        static_cast<int8_t>(num_levels() - 1));
-  for (int a = 0; a < num_cpus_; ++a) {
-    for (int b = 0; b < num_cpus_; ++b) {
-      int8_t& out = sharing_level_[static_cast<size_t>(a) * num_cpus_ + b];
-      if (a == b) {
-        out = static_cast<int8_t>(kSameCpu);
-        continue;
-      }
-      for (int i = 0; i < num_levels(); ++i) {
-        if (levels_[i].cpu_to_cohort[a] == levels_[i].cpu_to_cohort[b]) {
-          out = static_cast<int8_t>(i);
-          break;
+  // Precompute the pairwise sharing-level matrix (see SharingLevel in the header): every
+  // pair starts at the single-cohort top level, then each lower level, top down,
+  // overwrites the pairs inside its cohorts, so a pair ends at the lowest level whose
+  // cohort it shares. One store per pair per shared level, no per-pair level scan.
+  const size_t n = static_cast<size_t>(num_cpus_);
+  sharing_level_.assign(n * n, static_cast<int8_t>(num_levels() - 1));
+  for (int i = num_levels() - 2; i >= 0; --i) {
+    for (int cohort = 0; cohort < levels_[i].num_cohorts; ++cohort) {
+      const CpuSpan members = CohortMembers(i, cohort);
+      for (int a : members) {
+        int8_t* row = sharing_level_.data() + static_cast<size_t>(a) * n;
+        for (int b : members) {
+          row[b] = static_cast<int8_t>(i);
         }
       }
     }
+  }
+  for (size_t a = 0; a < n; ++a) {
+    sharing_level_[a * n + a] = static_cast<int8_t>(kSameCpu);
   }
   // Pack the per-CPU path signatures for the SharingLevel fast path (header comment).
   // Field widths: bit_width(num_cohorts - 1) per level (0 bits for the single-cohort

@@ -1,10 +1,11 @@
 // clof::fault acceptance tests (docs/FAULT_INJECTION.md). The two load-bearing
 // properties from the issue:
 //  * a disabled FaultPlan is invisible — an installed hook with an all-default plan is
-//    bit-identical to no fault layer at all, and a disabled robustness scenario retains
+//    bit-identical to no fault layer at all, and a disabled stress scenario retains
 //    exactly 100% of baseline throughput;
 //  * a faulted run is exactly as deterministic as an unfaulted one — byte-identical
-//    across worker counts and across the result cache, mirroring parallel_sweep_test.
+//    across worker counts and across the result cache, mirroring parallel_sweep_test,
+//    under both stress objectives (select::RunStressRanking).
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -194,10 +195,22 @@ TEST(FaultHarnessTest, ChurnStopsASeededSubsetEarly) {
   EXPECT_EQ(faulted.starved_threads, 0);
 }
 
-// --- Robustness sweep: determinism across jobs and the cache, exact no-op identity ---
+// --- Stress re-ranking: determinism across jobs and the cache, exact no-op identity ---
+//
+// Every case but the retention-specific no-op identity runs once per objective: the two
+// objectives share the candidate, probe-point and scenario-matrix machinery, so each
+// contract must hold for both.
 
-select::RobustnessConfig SmallRobustness(const sim::Machine& machine) {
-  select::RobustnessConfig config;
+constexpr select::StressObjective kObjectives[] = {select::StressObjective::kRetention,
+                                                   select::StressObjective::kWorstP999};
+
+const char* ObjectiveName(select::StressObjective objective) {
+  return objective == select::StressObjective::kRetention ? "retention" : "worst-p999";
+}
+
+select::StressConfig SmallStress(const sim::Machine& machine,
+                                 select::StressObjective objective) {
+  select::StressConfig config;
   config.sweep.spec.machine = &machine;
   config.sweep.spec.hierarchy =
       topo::Hierarchy::Select(machine.topology, {"numa", "system"});
@@ -205,88 +218,119 @@ select::RobustnessConfig SmallRobustness(const sim::Machine& machine) {
   config.sweep.lock_names = {"mcs-mcs", "clh-clh", "tkt-mcs"};
   config.sweep.thread_counts = {1, 4, 16};
   config.sweep.duration_ms = 0.2;
+  config.objective = objective;
   config.candidates = 2;
   return config;
 }
 
-// Bitwise equality of two robustness results, memcmp on every double (mirrors
+// Bitwise equality of two stress results, memcmp on every double (mirrors
 // parallel_sweep_test::ExpectBitIdentical).
-void ExpectRobustnessBitIdentical(const select::RobustnessResult& a,
-                                  const select::RobustnessResult& b,
-                                  const std::string& label) {
+void ExpectStressBitIdentical(const select::StressResult& a, const select::StressResult& b,
+                              const std::string& label) {
   EXPECT_EQ(a.sweep.selection.hc_best, b.sweep.selection.hc_best) << label;
   EXPECT_EQ(a.probe_threads, b.probe_threads) << label;
   ASSERT_EQ(a.locks.size(), b.locks.size()) << label;
+  auto doubles = [](const select::LockStress& lock) {
+    std::vector<double> out = {lock.hc_score,         lock.baseline_throughput,
+                               lock.baseline_p99_ns,  lock.worst_retention,
+                               lock.robust_score,     lock.worst_p999_ns};
+    for (const auto& outcome : lock.outcomes) {
+      out.insert(out.end(), {outcome.throughput_per_us, outcome.retention,
+                             outcome.acquire_p99_ns, outcome.acquire_p999_ns,
+                             static_cast<double>(outcome.starved_threads),
+                             static_cast<double>(outcome.failed)});
+    }
+    return out;
+  };
   for (size_t i = 0; i < a.locks.size(); ++i) {
-    const select::LockRobustness& la = a.locks[i];
-    const select::LockRobustness& lb = b.locks[i];
-    EXPECT_EQ(la.name, lb.name) << label;
-    std::vector<double> da = {la.hc_score, la.baseline_throughput, la.baseline_p99_ns,
-                              la.worst_retention, la.robust_score};
-    std::vector<double> db = {lb.hc_score, lb.baseline_throughput, lb.baseline_p99_ns,
-                              lb.worst_retention, lb.robust_score};
-    for (const auto& outcome : la.outcomes) {
-      da.insert(da.end(), {outcome.throughput_per_us, outcome.retention,
-                           outcome.acquire_p99_ns,
-                           static_cast<double>(outcome.starved_threads)});
-    }
-    for (const auto& outcome : lb.outcomes) {
-      db.insert(db.end(), {outcome.throughput_per_us, outcome.retention,
-                           outcome.acquire_p99_ns,
-                           static_cast<double>(outcome.starved_threads)});
-    }
-    ASSERT_EQ(da.size(), db.size()) << label << " lock " << la.name;
+    EXPECT_EQ(a.locks[i].name, b.locks[i].name) << label;
+    const std::vector<double> da = doubles(a.locks[i]);
+    const std::vector<double> db = doubles(b.locks[i]);
+    ASSERT_EQ(da.size(), db.size()) << label << " lock " << a.locks[i].name;
     EXPECT_EQ(std::memcmp(da.data(), db.data(), da.size() * sizeof(double)), 0)
-        << label << " lock " << la.name;
+        << label << " lock " << a.locks[i].name;
   }
-  EXPECT_EQ(a.robust_best, b.robust_best) << label;
+  EXPECT_EQ(a.winner, b.winner) << label;
+  EXPECT_EQ(std::memcmp(&a.winner_score, &b.winner_score, sizeof(double)), 0) << label;
   EXPECT_EQ(a.winner_changed, b.winner_changed) << label;
 }
 
 TEST(RobustnessTest, WorkerCountDoesNotChangeResults) {
   auto machine = sim::Machine::PaperArm();
-  select::RobustnessConfig config = SmallRobustness(machine);
-  config.sweep.jobs = 1;
-  auto serial = select::RunRobustnessBenchmark(config);
-  config.sweep.jobs = 2;
-  auto two = select::RunRobustnessBenchmark(config);
-  config.sweep.jobs = 4;
-  auto four = select::RunRobustnessBenchmark(config);
-  ExpectRobustnessBitIdentical(serial, two, "jobs=1 vs jobs=2");
-  ExpectRobustnessBitIdentical(serial, four, "jobs=1 vs jobs=4");
+  for (select::StressObjective objective : kObjectives) {
+    SCOPED_TRACE(ObjectiveName(objective));
+    select::StressConfig config = SmallStress(machine, objective);
+    config.sweep.jobs = 1;
+    auto serial = select::RunStressRanking(config);
+    config.sweep.jobs = 2;
+    auto two = select::RunStressRanking(config);
+    config.sweep.jobs = 4;
+    auto four = select::RunStressRanking(config);
+    ExpectStressBitIdentical(serial, two, "jobs=1 vs jobs=2");
+    ExpectStressBitIdentical(serial, four, "jobs=1 vs jobs=4");
+  }
 }
 
 TEST(RobustnessTest, CacheRoundTripIsByteIdentical) {
   auto machine = sim::Machine::PaperArm();
-  std::string dir = std::string(::testing::TempDir()) + "/clof_fault_cache";
-  std::filesystem::remove_all(dir);  // reruns must start cold
+  for (select::StressObjective objective : kObjectives) {
+    SCOPED_TRACE(ObjectiveName(objective));
+    std::string dir = std::string(::testing::TempDir()) + "/clof_fault_cache_" +
+                      ObjectiveName(objective);
+    std::filesystem::remove_all(dir);  // reruns must start cold
+    exec::ResultCache cache(dir);
+    select::StressConfig config = SmallStress(machine, objective);
+    config.sweep.jobs = 2;
+    config.sweep.cache = &cache;
+
+    auto cold = select::RunStressRanking(config);
+    EXPECT_EQ(cache.hits(), 0u);
+    EXPECT_GT(cache.stores(), 0u);
+    const uint64_t cells = cache.stores();
+
+    auto warm = select::RunStressRanking(config);
+    EXPECT_EQ(cache.hits(), cells) << "second run must be fully cache-served";
+    ExpectStressBitIdentical(cold, warm, "computed vs cache-served");
+  }
+}
+
+// The latency objective's default scenario ("churn" from PlanFromSpec) is the churn
+// entry of the retention objective's DefaultMatrix, so after a retention run every
+// latency cell — baseline sweep and perturbed probe alike — is already in the cache.
+TEST(StressRankingTest, LatencyRunAfterRetentionRunIsFullyCacheServed) {
+  auto machine = sim::Machine::PaperArm();
+  std::string dir = std::string(::testing::TempDir()) + "/clof_fault_cache_cross";
+  std::filesystem::remove_all(dir);
   exec::ResultCache cache(dir);
-  select::RobustnessConfig config = SmallRobustness(machine);
+  select::StressConfig config = SmallStress(machine, select::StressObjective::kRetention);
   config.sweep.jobs = 2;
   config.sweep.cache = &cache;
+  select::RunStressRanking(config);
+  const uint64_t misses = cache.misses();
+  const uint64_t hits = cache.hits();
 
-  auto cold = select::RunRobustnessBenchmark(config);
-  EXPECT_EQ(cache.hits(), 0u);
-  EXPECT_GT(cache.stores(), 0u);
-  const uint64_t cells = cache.stores();
+  config.objective = select::StressObjective::kWorstP999;
+  auto served = select::RunStressRanking(config);
+  EXPECT_EQ(cache.misses(), misses) << "the latency run computed cells of its own";
+  EXPECT_GT(cache.hits(), hits);
 
-  auto warm = select::RunRobustnessBenchmark(config);
-  EXPECT_EQ(cache.hits(), cells) << "second run must be fully cache-served";
-  ExpectRobustnessBitIdentical(cold, warm, "computed vs cache-served");
+  config.sweep.cache = nullptr;
+  ExpectStressBitIdentical(select::RunStressRanking(config), served,
+                           "computed vs served by the retention run's cells");
 }
 
 TEST(RobustnessTest, DisabledScenarioRetainsExactlyEverything) {
   auto machine = sim::Machine::PaperArm();
-  select::RobustnessConfig config = SmallRobustness(machine);
+  select::StressConfig config = SmallStress(machine, select::StressObjective::kRetention);
   config.sweep.jobs = 2;
   // One all-disabled scenario: the "perturbed" cells must replay the baseline cells
-  // byte for byte, so retention is exactly 1.0 — the no-fault identity from the issue.
+  // byte for byte, so retention is exactly 1.0: a disabled plan is invisible.
   config.scenarios = {{"noop", fault::FaultPlan{}}};
-  auto result = select::RunRobustnessBenchmark(config);
+  auto result = select::RunStressRanking(config);
   ASSERT_FALSE(result.locks.empty());
   for (const auto& lock : result.locks) {
     ASSERT_EQ(lock.outcomes.size(), 1u);
-    const select::ScenarioOutcome& outcome = lock.outcomes.front();
+    const select::StressOutcome& outcome = lock.outcomes.front();
     EXPECT_EQ(std::memcmp(&outcome.throughput_per_us, &lock.baseline_throughput,
                           sizeof(double)),
               0)
@@ -299,56 +343,68 @@ TEST(RobustnessTest, DisabledScenarioRetainsExactlyEverything) {
     EXPECT_EQ(std::memcmp(&lock.robust_score, &lock.hc_score, sizeof(double)), 0)
         << lock.name;
   }
-  EXPECT_EQ(result.robust_best, result.sweep.selection.hc_best);
+  EXPECT_EQ(result.winner, result.sweep.selection.hc_best);
   EXPECT_FALSE(result.winner_changed);
 }
 
 TEST(RobustnessTest, RejectsAFaultedBaselineSweep) {
   auto machine = sim::Machine::PaperArm();
-  select::RobustnessConfig config = SmallRobustness(machine);
-  config.sweep.spec.fault.preempt.enabled = true;
-  EXPECT_THROW(select::RunRobustnessBenchmark(config), std::invalid_argument);
+  for (select::StressObjective objective : kObjectives) {
+    SCOPED_TRACE(ObjectiveName(objective));
+    select::StressConfig config = SmallStress(machine, objective);
+    config.sweep.spec.fault.preempt.enabled = true;
+    EXPECT_THROW(select::RunStressRanking(config), std::invalid_argument);
+  }
 }
 
 TEST(RobustnessTest, CandidatesIncludeTheLcBest) {
   auto machine = sim::Machine::PaperArm();
-  select::RobustnessConfig config = SmallRobustness(machine);
-  config.candidates = 1;  // force the LC-best to be appended if it is not HC-top-1
-  auto result = select::RunRobustnessBenchmark(config);
-  bool found = false;
-  for (const auto& lock : result.locks) {
-    found = found || lock.name == result.sweep.selection.lc_best;
+  for (select::StressObjective objective : kObjectives) {
+    SCOPED_TRACE(ObjectiveName(objective));
+    select::StressConfig config = SmallStress(machine, objective);
+    config.candidates = 1;  // force the LC-best to be appended if it is not HC-top-1
+    auto result = select::RunStressRanking(config);
+    bool found = false;
+    for (const auto& lock : result.locks) {
+      found = found || lock.name == result.sweep.selection.lc_best;
+    }
+    EXPECT_TRUE(found) << "the LC-best must always be in the candidate set";
   }
-  EXPECT_TRUE(found) << "the LC-best must always be in the candidate set";
 }
 
 TEST(RobustnessTest, OverlongCandidateRequestClampsWithANote) {
   auto machine = sim::Machine::PaperArm();
-  select::RobustnessConfig config = SmallRobustness(machine);
-  config.candidates = 10;  // only 3 locks swept
-  auto result = select::RunRobustnessBenchmark(config);
-  EXPECT_EQ(result.locks.size(), 3u) << "clamp to the survivors, not silence or throw";
-  EXPECT_NE(result.note.find("requested top-10"), std::string::npos) << result.note;
-  EXPECT_NE(result.note.find("3 lock(s) survived"), std::string::npos) << result.note;
-  EXPECT_FALSE(result.robust_best.empty());
+  for (select::StressObjective objective : kObjectives) {
+    SCOPED_TRACE(ObjectiveName(objective));
+    select::StressConfig config = SmallStress(machine, objective);
+    config.candidates = 10;  // only 3 locks swept
+    auto result = select::RunStressRanking(config);
+    EXPECT_EQ(result.locks.size(), 3u) << "clamp to the survivors, not silence or throw";
+    EXPECT_NE(result.note.find("requested top-10"), std::string::npos) << result.note;
+    EXPECT_NE(result.note.find("3 lock(s) survived"), std::string::npos) << result.note;
+    EXPECT_FALSE(result.winner.empty());
 
-  // A request the sweep can satisfy stays note-free.
-  config.candidates = 2;
-  EXPECT_TRUE(select::RunRobustnessBenchmark(config).note.empty());
+    // A request the sweep can satisfy stays note-free.
+    config.candidates = 2;
+    EXPECT_TRUE(select::RunStressRanking(config).note.empty());
+  }
 }
 
 TEST(RobustnessTest, AllQuarantinedBaselineExplainsItselfInsteadOfRanking) {
   auto machine = sim::Machine::PaperArm();
-  select::RobustnessConfig config = SmallRobustness(machine);
-  config.sweep.spec.registry = &torture::MutantRegistry();
-  config.sweep.lock_names = {"mut-skip-unlock"};  // deadlocks in every cell
-  auto result = select::RunRobustnessBenchmark(config);
-  EXPECT_TRUE(result.sweep.Quarantined("mut-skip-unlock"));
-  EXPECT_TRUE(result.locks.empty());
-  EXPECT_TRUE(result.robust_best.empty());
-  EXPECT_FALSE(result.winner_changed);
-  EXPECT_NE(result.note.find("quarantined all 1 lock(s)"), std::string::npos)
-      << result.note;
+  for (select::StressObjective objective : kObjectives) {
+    SCOPED_TRACE(ObjectiveName(objective));
+    select::StressConfig config = SmallStress(machine, objective);
+    config.sweep.spec.registry = &torture::MutantRegistry();
+    config.sweep.lock_names = {"mut-skip-unlock"};  // deadlocks in every cell
+    auto result = select::RunStressRanking(config);
+    EXPECT_TRUE(result.sweep.Quarantined("mut-skip-unlock"));
+    EXPECT_TRUE(result.locks.empty());
+    EXPECT_TRUE(result.winner.empty());
+    EXPECT_FALSE(result.winner_changed);
+    EXPECT_NE(result.note.find("quarantined all 1 lock(s)"), std::string::npos)
+        << result.note;
+  }
 }
 
 }  // namespace

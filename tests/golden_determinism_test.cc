@@ -183,13 +183,63 @@ uint64_t Cxl1024Transcript() {
   return t.hash();
 }
 
+// The stress re-ranking over a SmallSweep-shaped sweep, one objective at a time: top-3
+// candidates (plus the LC-best) through the objective's default scenario matrix. The
+// transcript hashes the ranking order, names, scores, every outcome's throughput and
+// the objective's tail percentile, the failed flags, the winner, and whether it
+// changed. The field order is the one each objective's constant was captured with,
+// when the two objectives were still two entry points with two result types.
+uint64_t StressTranscript(select::StressObjective objective) {
+  const sim::Machine machine = sim::Machine::PaperArm();
+  select::StressConfig config;
+  config.sweep = SmallSweep(machine, false);
+  config.objective = objective;
+  config.candidates = 3;
+  const select::StressResult result = select::RunStressRanking(config);
+  const bool retention = objective == select::StressObjective::kRetention;
+  Transcript t;
+  t.U64(static_cast<uint64_t>(result.probe_threads));
+  t.U64(result.locks.size());
+  for (const auto& lock : result.locks) {
+    t.Str(lock.name);
+    t.Double(lock.hc_score);
+    t.Double(lock.baseline_throughput);
+    t.Double(lock.baseline_p99_ns);
+    if (retention) {
+      t.Double(lock.worst_retention);
+      t.Double(lock.robust_score);
+    } else {
+      t.Double(lock.worst_p999_ns);
+    }
+    t.U64(lock.outcomes.size());
+    for (const auto& outcome : lock.outcomes) {
+      t.Str(outcome.scenario);
+      t.Double(outcome.throughput_per_us);
+      if (retention) {
+        t.Double(outcome.retention);
+        t.Double(outcome.acquire_p99_ns);
+      } else {
+        t.Double(outcome.acquire_p999_ns);
+      }
+      t.U64(outcome.failed ? 1 : 0);
+    }
+  }
+  t.Str(result.winner);
+  t.Double(result.winner_score);
+  t.U64(result.winner_changed ? 1 : 0);
+  return t.hash();
+}
+
 // Golden constants: the pre-refactor capture described in the header comment, except
-// kCxl1024CellsGolden, captured later at an engine with an unchanged model.
+// kCxl1024CellsGolden, captured later at an engine with an unchanged model, and the two
+// stress constants, captured before the robustness and latency re-rankings merged.
 constexpr uint64_t kArmSweepGolden = 0x881010769f3bdf0bull;
 constexpr uint64_t kX86SweepGolden = 0x0ed8e304be0aae85ull;
 constexpr uint64_t kArmCellsGolden = 0x722ebbc8952e57cfull;
 constexpr uint64_t kX86CellsGolden = 0x0df4c1e0649bc89eull;
 constexpr uint64_t kCxl1024CellsGolden = 0xff81b46ef8ea1bf6ull;
+constexpr uint64_t kArmRobustnessGolden = 0x023c14fcabc7d308ull;
+constexpr uint64_t kArmLatencyGolden = 0x09d4cef4463f132eull;
 
 TEST(GoldenDeterminismTest, ArmSweepTranscriptMatchesCapture) {
   uint64_t actual = SweepTranscript(sim::Machine::PaperArm(), false);
@@ -214,6 +264,16 @@ TEST(GoldenDeterminismTest, X86FaultedAndUnfaultedCellsMatchCapture) {
 TEST(GoldenDeterminismTest, CxlPod1024FourLevelCellsMatchCapture) {
   uint64_t actual = Cxl1024Transcript();
   EXPECT_EQ(actual, kCxl1024CellsGolden) << "actual 0x" << std::hex << actual;
+}
+
+TEST(GoldenDeterminismTest, ArmRobustnessRankingMatchesCapture) {
+  uint64_t actual = StressTranscript(select::StressObjective::kRetention);
+  EXPECT_EQ(actual, kArmRobustnessGolden) << "actual 0x" << std::hex << actual;
+}
+
+TEST(GoldenDeterminismTest, ArmLatencyRankingMatchesCapture) {
+  uint64_t actual = StressTranscript(select::StressObjective::kWorstP999);
+  EXPECT_EQ(actual, kArmLatencyGolden) << "actual 0x" << std::hex << actual;
 }
 
 }  // namespace

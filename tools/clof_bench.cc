@@ -9,12 +9,14 @@
 //              [--journal=FILE]                      crash-safe sweep journal: a killed
 //                                                    sweep resumes where it stopped
 //                                                    (docs/PARALLEL_SWEEP.md)
-//              [--robustness[=K]]                    re-rank the top-K sweep winners under
-//                                                    the fault matrix (docs/FAULT_INJECTION.md)
+//              [--robustness[=K]]                    re-rank the top-K sweep winners by
+//                                                    retained throughput under the fault
+//                                                    matrix (docs/FAULT_INJECTION.md)
 //              [--latency[=K]]                       re-rank the top-K sweep winners by
 //                                                    worst-case acquire p999 under churn
-//                                                    instead of throughput (docs/TIMEOUT.md);
-//                                                    enrolls the abortable mcst compositions
+//                                                    instead (docs/TIMEOUT.md); enrolls the
+//                                                    abortable mcst compositions. Both are
+//                                                    select::RunStressRanking objectives
 //              [--deadline=NS]                       bound every acquire at NS virtual ns via
 //                                                    Lock::TryAcquireFor; timed-out attempts
 //                                                    count as drops, the knob joins the cache
@@ -57,7 +59,8 @@
 // Common flags: --machine=x86|arm|cxl-pod-1024|dc-4level (default arm; the last two
 // are the 1024-CPU data-center presets, EXPERIMENTS.md "1024-CPU sweep"),
 // --topology=<spec> (custom machine,
-// see topo::Topology::FromSpec), --levels=<names,comma>, --duration_ms, --seed, --H.
+// see topo::Topology::FromSpec), --levels=<names,comma>, --duration_ms, --seed, --H (the
+// keep-local threshold of every composition each mode builds, default 128).
 // --combining enrolls the combining locks (docs/COMBINING.md) — "ccsynch" plus one
 // "hsynch-<level>" per non-system hierarchy level — next to the queue-lock
 // compositions in --sweep (incl. --robustness), --service, and --lock= runs; their
@@ -69,6 +72,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -242,97 +246,100 @@ void PrintQuarantine(const select::SweepResult& result) {
   std::printf("\n");
 }
 
-// The tail report behind --sweep --latency: per-candidate p999 under each perturbation,
-// then the p999-ascending re-ranking a deadline-bound service deploys from
-// (docs/TIMEOUT.md).
-void PrintLatencySelection(const select::LatencySelectionResult& result) {
-  if (!result.note.empty()) {
-    std::printf("\nnote: %s\n", result.note.c_str());
+// The executor-accelerator summary every sweep-running mode prints: how many cells the
+// result cache and the resume journal served instead of simulating.
+void PrintCacheSummary(const exec::ResultCache* cache, const exec::SweepJournal* journal) {
+  if (cache != nullptr) {
+    std::printf("cache %s: %llu hits, %llu misses, %llu stored\n", cache->dir().c_str(),
+                static_cast<unsigned long long>(cache->hits()),
+                static_cast<unsigned long long>(cache->misses()),
+                static_cast<unsigned long long>(cache->stores()));
   }
-  if (result.locks.empty()) {
-    return;  // the baseline quarantined everything; the note + quarantine report say why
-  }
-  std::printf("\nbounded-latency matrix at %d threads (%zu candidates x %zu scenarios):\n",
-              result.probe_threads, result.locks.size(), result.scenarios.size());
-  for (const auto& lock : result.locks) {
-    std::printf("\n%-18s baseline p999 %8.1f ns, %8.3f iter/us\n", lock.name.c_str(),
-                lock.baseline_p999_ns, lock.baseline_throughput);
-    std::printf("  %-14s%12s%12s\n", "scenario", "iter/us", "p999(ns)");
-    for (const auto& outcome : lock.outcomes) {
-      if (outcome.failed) {
-        // The perturbed cell never finished: the tail is unbounded by definition.
-        std::printf("  %-14s%12s%12s  (%s)\n", outcome.scenario.c_str(), "-", "inf",
-                    outcome.failure_kind.c_str());
-        continue;
-      }
-      std::printf("  %-14s%12.3f%12.1f\n", outcome.scenario.c_str(),
-                  outcome.throughput_per_us, outcome.acquire_p999_ns);
-    }
-  }
-  std::printf("\nbounded-latency ranking (ascending worst-case acquire p999):\n");
-  std::printf("%-18s%12s%16s\n", "lock", "HC score", "worst p999(ns)");
-  for (const auto& lock : result.locks) {
-    if (std::isinf(lock.worst_p999_ns)) {
-      std::printf("%-18s%12.3f%16s\n", lock.name.c_str(), lock.hc_score, "inf");
-    } else {
-      std::printf("%-18s%12.3f%16.1f\n", lock.name.c_str(), lock.hc_score,
-                  lock.worst_p999_ns);
-    }
-  }
-  if (result.winner_changed) {
-    std::printf("\nlatency winner %s (worst p999 %.1f ns) differs from throughput HC-best"
-                " %s: the throughput winner's tail degrades more under churn.\n",
-                result.latency_best.c_str(), result.latency_best_p999_ns,
-                result.sweep.selection.hc_best.c_str());
-  } else {
-    std::printf("\nlatency winner %s (worst p999 %.1f ns) confirms the throughput"
-                " HC-best.\n",
-                result.latency_best.c_str(), result.latency_best_p999_ns);
+  if (journal != nullptr) {
+    std::printf("journal %s: %llu cell(s) served from the previous run\n",
+                journal->path().c_str(), static_cast<unsigned long long>(journal->served()));
   }
 }
 
-// The robustness report behind --sweep --robustness: per-candidate retention and tail
-// latency under each perturbation, then the robustness-aware re-ranking.
-void PrintRobustness(const select::RobustnessResult& result) {
+// The stress report behind --sweep --robustness / --latency: per-candidate throughput,
+// retention and tail latency under each perturbation, then the re-ranking on the run's
+// objective (docs/FAULT_INJECTION.md, docs/TIMEOUT.md).
+void PrintStress(const select::StressResult& result) {
+  const bool retention = result.objective == select::StressObjective::kRetention;
   if (!result.note.empty()) {
     std::printf("\nnote: %s\n", result.note.c_str());
   }
   if (result.locks.empty()) {
     return;  // the baseline quarantined everything; the note + quarantine report say why
   }
-  std::printf("\nrobustness matrix at %d threads (%zu candidates x %zu scenarios):\n",
-              result.probe_threads, result.locks.size(), result.scenarios.size());
+  std::printf("\n%s matrix at %d threads (%zu candidates x %zu scenario(s)):\n",
+              retention ? "robustness" : "bounded-latency", result.probe_threads,
+              result.locks.size(), result.scenarios.size());
   for (const auto& lock : result.locks) {
     std::printf("\n%-18s baseline %8.3f iter/us, p99 %8.1f ns\n", lock.name.c_str(),
                 lock.baseline_throughput, lock.baseline_p99_ns);
-    std::printf("  %-14s%12s%11s%12s%10s\n", "scenario", "iter/us", "retained",
-                "p99(ns)", "starved");
+    std::printf("  %-14s%12s%11s%12s%12s%10s\n", "scenario", "iter/us", "retained",
+                "p99(ns)", "p999(ns)", "starved");
     for (const auto& outcome : lock.outcomes) {
       if (outcome.failed) {
-        // The perturbed cell never finished: nothing retained, by definition.
-        std::printf("  %-14s%12s%10.1f%%%12s%10s  (%s)\n", outcome.scenario.c_str(),
-                    "-", 0.0, "-", "-", outcome.failure_kind.c_str());
+        // The perturbed cell never finished: nothing retained, and an unbounded tail.
+        std::printf("  %-14s%12s%10.1f%%%12s%12s%10s  (%s)\n", outcome.scenario.c_str(),
+                    "-", 0.0, "-", "inf", "-", outcome.failure_kind.c_str());
         continue;
       }
-      std::printf("  %-14s%12.3f%10.1f%%%12.1f%10d\n", outcome.scenario.c_str(),
+      std::printf("  %-14s%12.3f%10.1f%%%12.1f%12.1f%10d\n", outcome.scenario.c_str(),
                   outcome.throughput_per_us, 100.0 * outcome.retention,
-                  outcome.acquire_p99_ns, outcome.starved_threads);
+                  outcome.acquire_p99_ns, outcome.acquire_p999_ns, outcome.starved_threads);
     }
   }
-  std::printf("\nrobustness ranking (robust score = HC score x worst retention):\n");
-  std::printf("%-18s%12s%17s%14s\n", "lock", "HC score", "worst retention", "robust score");
+  std::printf(retention
+                  ? "\nrobustness ranking (robust score = HC score x worst retention):\n"
+                  : "\nbounded-latency ranking (ascending worst-case acquire p999):\n");
+  std::printf("%-18s%12s%17s%14s%16s\n", "lock", "HC score", "worst retention",
+              "robust score", "worst p999(ns)");
   for (const auto& lock : result.locks) {
-    std::printf("%-18s%12.3f%16.1f%%%14.3f\n", lock.name.c_str(), lock.hc_score,
-                100.0 * lock.worst_retention, lock.robust_score);
+    std::printf("%-18s%12.3f%16.1f%%%14.3f%16.1f\n", lock.name.c_str(), lock.hc_score,
+                100.0 * lock.worst_retention, lock.robust_score, lock.worst_p999_ns);
+  }
+  std::printf("\n%s winner %s", retention ? "robust" : "latency", result.winner.c_str());
+  if (!retention) {
+    std::printf(" (worst p999 %.1f ns)", result.winner_score);
   }
   if (result.winner_changed) {
-    std::printf("\nrobust winner %s differs from ideal HC-best %s: the ideal winner does"
-                " not survive the perturbation matrix.\n",
-                result.robust_best.c_str(), result.sweep.selection.hc_best.c_str());
+    std::printf(" differs from the ideal HC-best %s: the ideal winner %s.\n",
+                result.sweep.selection.hc_best.c_str(),
+                retention ? "does not survive the perturbation matrix"
+                          : "has the worse tail under it");
   } else {
-    std::printf("\nrobust winner %s confirms the ideal HC-best.\n",
-                result.robust_best.c_str());
+    std::printf(" confirms the ideal HC-best.\n");
   }
+}
+
+// --robustness[=K] / --latency[=K]: 0 when the flag is absent, -1 when it is bare (the
+// library's default top-K), else K, which must be a positive integer. Returns false
+// after printing an error that names the flag.
+bool ParseTopK(const bench::Flags& flags, const std::string& name, int* top_k) {
+  *top_k = 0;
+  if (!flags.GetBool(name)) {
+    return true;
+  }
+  const std::string value = flags.GetString(name, "true");
+  if (value == "true") {
+    *top_k = -1;
+    return true;
+  }
+  char* end = nullptr;
+  const long parsed = std::strtol(value.c_str(), &end, 10);
+  if (end == value.c_str() || *end != '\0' || parsed < 1 ||
+      parsed > std::numeric_limits<int>::max()) {
+    std::fprintf(stderr,
+                 "error: --%s expects a positive candidate count (e.g. --%s=3) or no"
+                 " value, got --%s=%s\n",
+                 name.c_str(), name.c_str(), name.c_str(), value.c_str());
+    return false;
+  }
+  *top_k = static_cast<int>(parsed);
+  return true;
 }
 
 int Run(const bench::Flags& flags) {
@@ -375,33 +382,24 @@ int Run(const bench::Flags& flags) {
       return 2;
     }
   }
-  int latency_candidates = 0;  // 0 = off, -1 = default top-K
-  if (flags.GetBool("latency")) {
-    const std::string value = flags.GetString("latency", "true");
-    if (value == "true") {
-      latency_candidates = -1;
-    } else {
-      char* end = nullptr;
-      const long parsed = std::strtol(value.c_str(), &end, 10);
-      if (end == value.c_str() || *end != '\0' || parsed < 1) {
-        std::fprintf(stderr,
-                     "error: --latency expects a positive candidate count"
-                     " (e.g. --latency=3) or no value, got --latency=%s\n",
-                     value.c_str());
-        return 2;
-      }
-      latency_candidates = static_cast<int>(parsed);
-    }
-    if (!flags.GetBool("sweep")) {
-      std::fprintf(stderr, "error: --latency requires --sweep\n");
-      return 2;
-    }
-    if (flags.GetBool("robustness")) {
-      std::fprintf(stderr,
-                   "error: --latency and --robustness are mutually exclusive; run two"
-                   " sweeps (a shared --cache makes the second one cheap)\n");
-      return 2;
-    }
+  int robustness_k = 0;
+  int latency_k = 0;
+  if (!ParseTopK(flags, "robustness", &robustness_k) ||
+      !ParseTopK(flags, "latency", &latency_k)) {
+    return 2;
+  }
+  if (robustness_k != 0 && latency_k != 0) {
+    std::fprintf(stderr,
+                 "error: --latency and --robustness are mutually exclusive; run one"
+                 " sweep per objective\n");
+    return 2;
+  }
+  // The one stress re-ranking behind both flags: 0 = off, -1 = the default top-K.
+  const int stress_k = robustness_k != 0 ? robustness_k : latency_k;
+  if (stress_k != 0 && !flags.GetBool("sweep")) {
+    std::fprintf(stderr, "error: --%s requires --sweep\n",
+                 robustness_k != 0 ? "robustness" : "latency");
+    return 2;
   }
   if (deadline_ns > 0.0 &&
       (flags.GetBool("list") || flags.GetBool("discover") || flags.GetBool("torture") ||
@@ -429,6 +427,10 @@ int Run(const bench::Flags& flags) {
   const Registry& registry = SimRegistry(machine.platform.arch == sim::Arch::kX86);
   double duration = flags.GetDouble("duration_ms", 1.0);
   auto seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
+  // --H applies to every composition any mode builds; the default equals ClofParams{},
+  // so default runs keep their historical cache fingerprints.
+  ClofParams params;
+  params.keep_local_threshold = static_cast<uint32_t>(flags.GetInt("H", 128));
 
   if (flags.GetBool("list")) {
     std::string value = flags.GetString("list", "true");  // --list=3 filters by depth
@@ -534,6 +536,7 @@ int Run(const bench::Flags& flags) {
       bench.spec.hierarchy = hierarchy;
       bench.spec.registry = &timeout_registry;
       bench.spec.seed = seed;
+      bench.spec.params = params;
       bench.service = workload::ServiceProfile::MiniProxy(flags.GetInt("shards", 8));
       bench.num_threads = harness::PaperThreadCounts(machine.topology).back();
       bench.duration_ms = service_duration;
@@ -607,6 +610,7 @@ int Run(const bench::Flags& flags) {
     config.base.spec.hierarchy = hierarchy;
     config.base.spec.registry = &registry;
     config.base.spec.seed = seed;
+    config.base.spec.params = params;
     std::unique_ptr<Registry> service_registry;
     if (combining_enabled) {
       const auto options = combining_options(hierarchy);
@@ -677,12 +681,7 @@ int Run(const bench::Flags& flags) {
                   100.0 * (selection.calibration_per_site / selection.calibration_global -
                            1.0));
     }
-    if (cache != nullptr) {
-      std::printf("cache %s: %llu hits, %llu misses, %llu stored\n", cache->dir().c_str(),
-                  static_cast<unsigned long long>(cache->hits()),
-                  static_cast<unsigned long long>(cache->misses()),
-                  static_cast<unsigned long long>(cache->stores()));
-    }
+    PrintCacheSummary(cache.get(), journal.get());
     if (selection.global_winner.empty()) {
       std::fprintf(stderr, "error: no composition survived every site's sweep\n");
       return 1;
@@ -761,6 +760,7 @@ int Run(const bench::Flags& flags) {
     config.num_threads = flags.GetInt("threads", 6);
     config.duration_ms = flags.GetDouble("duration_ms", 0.1);
     config.seed = seed;
+    config.params = params;
     config.jobs = flags.GetInt("jobs", 0);
     const std::string lock_name = flags.GetString("lock", "");
     if (lock_name.empty()) {
@@ -791,11 +791,12 @@ int Run(const bench::Flags& flags) {
     config.spec.registry = &registry;
     config.spec.profile = ProfileByName(flags.GetString("profile", "leveldb"));
     config.spec.seed = seed;
+    config.spec.params = params;
     std::unique_ptr<Registry> sweep_registry;
     // --deadline / --latency enroll the abortable MCS-T compositions: their chains are
     // Kind::kGenerated at exact depth, so the default (empty) lock list picks them up
     // from the augmented registry automatically.
-    const bool timeout_enrolled = deadline_ns > 0.0 || latency_candidates != 0;
+    const bool timeout_enrolled = deadline_ns > 0.0 || latency_k != 0;
     if (combining_enabled || timeout_enrolled) {
       Registry augmented = registry;
       if (combining_enabled) {
@@ -836,15 +837,16 @@ int Run(const bench::Flags& flags) {
                     journal_path.c_str(), journal->loaded());
       }
     }
-    if (flags.GetBool("robustness")) {
-      select::RobustnessConfig robustness;
-      robustness.sweep = config;
-      const std::string value = flags.GetString("robustness", "true");
-      if (value != "true") {
-        robustness.candidates = std::stoi(value);  // --robustness=K: top-K candidates
+    if (stress_k != 0) {
+      select::StressConfig stress;
+      stress.sweep = config;
+      stress.objective = latency_k != 0 ? select::StressObjective::kWorstP999
+                                        : select::StressObjective::kRetention;
+      if (stress_k > 0) {
+        stress.candidates = stress_k;
       }
-      auto result = select::RunRobustnessBenchmark(robustness);
-      std::printf("swept %zu locks; perturbed top %zu under %zu scenarios\n",
+      auto result = select::RunStressRanking(stress);
+      std::printf("swept %zu locks; perturbed top %zu under %zu scenario(s)\n",
                   result.sweep.curves.size(), result.locks.size(),
                   result.scenarios.size());
       std::printf("HC-best %-18s (score %.3f)   LC-best %-18s (score %.3f)\n",
@@ -852,66 +854,16 @@ int Run(const bench::Flags& flags) {
                   result.sweep.selection.hc_best_score,
                   result.sweep.selection.lc_best.c_str(),
                   result.sweep.selection.lc_best_score);
-      if (cache != nullptr) {
-        std::printf("cache %s: %llu hits, %llu misses, %llu stored\n",
-                    cache->dir().c_str(), static_cast<unsigned long long>(cache->hits()),
-                    static_cast<unsigned long long>(cache->misses()),
-                    static_cast<unsigned long long>(cache->stores()));
-      }
-      if (journal != nullptr) {
-        std::printf("journal %s: %llu cell(s) served from the previous run\n",
-                    journal->path().c_str(),
-                    static_cast<unsigned long long>(journal->served()));
-      }
+      PrintCacheSummary(cache.get(), journal.get());
       PrintQuarantine(result.sweep);
-      PrintRobustness(result);
-      return 0;
-    }
-    if (latency_candidates != 0) {
-      select::LatencySelectionConfig latency;
-      latency.sweep = config;
-      if (latency_candidates > 0) {
-        latency.candidates = latency_candidates;  // --latency=K: top-K candidates
-      }
-      auto result = select::RunLatencySelection(latency);
-      std::printf("swept %zu locks; measured top %zu under %zu scenario(s)\n",
-                  result.sweep.curves.size(), result.locks.size(),
-                  result.scenarios.size());
-      std::printf("HC-best %-18s (score %.3f)   LC-best %-18s (score %.3f)\n",
-                  result.sweep.selection.hc_best.c_str(),
-                  result.sweep.selection.hc_best_score,
-                  result.sweep.selection.lc_best.c_str(),
-                  result.sweep.selection.lc_best_score);
-      if (cache != nullptr) {
-        std::printf("cache %s: %llu hits, %llu misses, %llu stored\n",
-                    cache->dir().c_str(), static_cast<unsigned long long>(cache->hits()),
-                    static_cast<unsigned long long>(cache->misses()),
-                    static_cast<unsigned long long>(cache->stores()));
-      }
-      if (journal != nullptr) {
-        std::printf("journal %s: %llu cell(s) served from the previous run\n",
-                    journal->path().c_str(),
-                    static_cast<unsigned long long>(journal->served()));
-      }
-      PrintQuarantine(result.sweep);
-      PrintLatencySelection(result);
+      PrintStress(result);
       return 0;
     }
     auto result = select::RunScriptedBenchmark(config);
     const size_t cells = result.curves.size() * result.thread_counts.size();
     std::printf("swept %zu locks (%zu cells, %d workers)\n", result.curves.size(), cells,
                 exec::ResolveJobs(config.jobs));
-    if (cache != nullptr) {
-      std::printf("cache %s: %llu hits, %llu misses, %llu stored\n", cache->dir().c_str(),
-                  static_cast<unsigned long long>(cache->hits()),
-                  static_cast<unsigned long long>(cache->misses()),
-                  static_cast<unsigned long long>(cache->stores()));
-    }
-    if (journal != nullptr) {
-      std::printf("journal %s: %llu cell(s) served from the previous run\n",
-                  journal->path().c_str(),
-                  static_cast<unsigned long long>(journal->served()));
-    }
+    PrintCacheSummary(cache.get(), journal.get());
     PrintQuarantine(result);
     // Report *why* a composition ranked where it did, not just its throughput: the
     // paper's §5 analysis ties HC-best wins to handover locality and low line traffic.
@@ -960,6 +912,7 @@ int Run(const bench::Flags& flags) {
       sweep.spec.registry = &registry;
       sweep.spec.profile = ProfileByName(flags.GetString("profile", "leveldb"));
       sweep.spec.seed = seed;
+      sweep.spec.params = params;
       sweep.duration_ms = duration;
       sweep.thread_counts = threads;
       sweep.jobs = flags.GetInt("jobs", 0);
@@ -1005,6 +958,7 @@ int Run(const bench::Flags& flags) {
         config.spec.registry = &with_adaptive;
         config.spec.profile = ProfileByName(flags.GetString("profile", "leveldb"));
         config.spec.seed = seed;
+        config.spec.params = params;
         config.spec.fault = fault_plan;
         config.lock_name = names[i];
         config.num_threads = t;
@@ -1037,19 +991,27 @@ int Run(const bench::Flags& flags) {
   if (lock_name.empty()) {
     std::fprintf(stderr,
                  "usage: clof_bench --list | --discover | --sweep [--jobs=N]"
-                 " [--cache=DIR] [--journal=FILE] [--robustness[=K]] |"
+                 " [--cache=DIR] [--journal=FILE] [--robustness[=K] | --latency[=K]] |"
                  " --torture [--lock=<name>] |"
-                 " --adaptive [--lc=<name> --hc=<name>] | --lock=<name> [--fault=SPEC]\n"
+                 " --adaptive [--lc=<name> --hc=<name>] |"
+                 " --service [--quick] [--check] | --lock=<name> [--fault=SPEC]\n"
                  "       --adaptive  ramp the LC lock, the HC lock, and the adaptive"
                  " facade (docs/ADAPTIVE.md)\n"
+                 "       --service  per-site selection for a multi-lock service, then its"
+                 " offered-load curve\n"
+                 "                  (docs/SERVICE.md)\n"
+                 "       --combining  enroll the combining locks next to the queue-lock"
+                 " compositions\n"
+                 "                    (docs/COMBINING.md)\n"
                  "       --jobs=N   executor worker threads (0 = all host CPUs)\n"
                  "       --cache=DIR  content-addressed sweep result cache\n"
                  "       --journal=FILE  crash-safe sweep journal (resume a killed"
                  " sweep)\n"
                  "       --torture  correctness oracles under the fault matrix"
                  " (docs/TORTURE.md)\n"
-                 "       --robustness[=K]  re-rank the top-K sweep winners under the\n"
-                 "                         deterministic fault matrix\n"
+                 "       --robustness[=K]  re-rank the top-K sweep winners by retained\n"
+                 "                         throughput under the deterministic fault matrix\n"
+                 "                         (requires --sweep; docs/FAULT_INJECTION.md)\n"
                  "       --latency[=K]  rank the top-K sweep winners by p999 under churn\n"
                  "                      (requires --sweep; docs/TIMEOUT.md)\n"
                  "       --deadline=NS  per-request deadline: drop accounting in"
@@ -1061,8 +1023,6 @@ int Run(const bench::Flags& flags) {
                  " and docs/FAULT_INJECTION.md)\n");
     return 2;
   }
-  ClofParams params;
-  params.keep_local_threshold = static_cast<uint32_t>(flags.GetInt("H", 128));
   std::unique_ptr<Registry> single_registry;
   const Registry* active_registry = &registry;
   if (combining_enabled || deadline_ns > 0.0) {
