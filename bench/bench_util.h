@@ -4,6 +4,7 @@
 #ifndef CLOF_BENCH_BENCH_UTIL_H_
 #define CLOF_BENCH_BENCH_UTIL_H_
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -11,6 +12,7 @@
 #include <map>
 #include <string>
 #include <string_view>
+#include <system_error>
 #include <vector>
 
 namespace clof::bench {
@@ -33,14 +35,17 @@ class Flags {
     }
   }
 
+  // Numeric flags parse their whole value: no digits (--jobs=x), trailing garbage
+  // (--H=12abc) or an out-of-range value is a usage error naming the flag (exit 2),
+  // never an exception or a silently truncated read.
   double GetDouble(const std::string& name, double fallback) const {
     auto it = values_.find(name);
-    return it == values_.end() ? fallback : std::stod(it->second);
+    return it == values_.end() ? fallback : ParseOrExit<double>(name, it->second, "a number");
   }
 
   int GetInt(const std::string& name, int fallback) const {
     auto it = values_.find(name);
-    return it == values_.end() ? fallback : std::stoi(it->second);
+    return it == values_.end() ? fallback : ParseOrExit<int>(name, it->second, "an integer");
   }
 
   std::string GetString(const std::string& name, const std::string& fallback) const {
@@ -75,6 +80,19 @@ class Flags {
   }
 
  private:
+  template <class T>
+  static T ParseOrExit(const std::string& name, const std::string& value, const char* what) {
+    T parsed{};
+    const char* last = value.data() + value.size();
+    const auto [end, ec] = std::from_chars(value.data(), last, parsed);
+    if (ec != std::errc() || end != last) {
+      std::fprintf(stderr, "error: --%s expects %s, got --%s=%s\n", name.c_str(), what,
+                   name.c_str(), value.c_str());
+      std::exit(2);
+    }
+    return parsed;
+  }
+
   std::map<std::string, std::string> values_;
 };
 

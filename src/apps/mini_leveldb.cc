@@ -1,6 +1,8 @@
 #include "src/apps/mini_leveldb.h"
 
-#include <cstdio>
+#include <algorithm>
+#include <charconv>
+#include <stdexcept>
 #include <utility>
 
 namespace clof::apps {
@@ -135,9 +137,17 @@ std::vector<std::pair<std::string, std::string>> MiniLevelDb::Scan(Session& sess
 }
 
 std::string MiniLevelDb::KeyFor(uint64_t n) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llu", static_cast<unsigned long long>(n));
-  return std::string(buf);
+  constexpr size_t kDigits = 16;
+  if (n >= 10'000'000'000'000'000ull) {  // 10^16 needs a 17th digit
+    throw std::out_of_range("MiniLevelDb::KeyFor: " + std::to_string(n) +
+                            " does not fit 16 decimal digits");
+  }
+  // Sized once (an exact 16-byte heap buffer), then the digits right-aligned.
+  std::string key(kDigits, '0');
+  char digits[kDigits];
+  char* end = std::to_chars(digits, digits + kDigits, n).ptr;
+  std::copy(digits, end, key.end() - (end - digits));
+  return key;
 }
 
 }  // namespace clof::apps

@@ -44,7 +44,8 @@ class MiniLevelDb {
                                                         const std::string& start, int limit);
   size_t size() const { return size_; }
 
-  // The "readrandom" key format used by the benchmark utilities: 16-digit decimal.
+  // The "readrandom" key format used by the benchmark utilities: 16-digit zero-padded
+  // decimal. Throws std::out_of_range for n >= 10^16, which would need a 17th digit.
   static std::string KeyFor(uint64_t n);
 
  private:

@@ -63,6 +63,10 @@ BenchResult RunLockBench(const BenchConfig& config) {
   const int num_levels = machine.topology.num_levels();
   std::vector<uint64_t> ops(config.num_threads, 0);
   std::vector<uint64_t> drops(config.num_threads, 0);
+  // Per-thread lock contexts live here, not on the fiber stacks: a fiber left parked by
+  // a deadlock or a watchdog stop is never unwound, so a fiber-local owner would leak.
+  // A thread that runs to completion still frees its own context when it finishes.
+  std::vector<std::unique_ptr<Lock::Context>> contexts(config.num_threads);
 
   BenchResult result;
   result.handovers_by_level.assign(trace::NumLevelBuckets(num_levels), 0);
@@ -89,7 +93,8 @@ BenchResult RunLockBench(const BenchConfig& config) {
     }
     engine.Spawn(cpu, [&, t, cpu, thread_end] {
       runtime::Xoshiro256 rng(config.spec.seed * 0x9e3779b97f4a7c15ull + t);
-      auto ctx = lock->MakeContext();
+      std::unique_ptr<Lock::Context>& ctx = contexts[t];
+      ctx = lock->MakeContext();
       auto& eng = sim::Engine::Current();
       const workload::Profile& p = config.spec.ActiveProfile();
       while (eng.Now() < thread_end) {
@@ -162,6 +167,7 @@ BenchResult RunLockBench(const BenchConfig& config) {
                                // watchdog; a no-op (not even a simulated access)
                                // when no watchdog is armed
       }
+      ctx.reset();
     });
   }
   if (fault_plan.interference.enabled) {

@@ -93,13 +93,19 @@ ServiceBenchResult RunServiceBench(const ServiceBenchConfig& config) {
   std::vector<double> request_latency_ns;  // scheduled arrival -> completion
   uint64_t offered_requests = 0;
   const double deadline_ns = config.spec.deadline_ns;
+  // Per-thread lock contexts live here, not on the fiber stacks: a fiber left parked by
+  // a deadlock or a watchdog stop is never unwound, so a fiber-local owner would leak.
+  // A thread that runs to completion still frees its own contexts when it finishes.
+  std::vector<std::vector<std::vector<std::unique_ptr<Lock::Context>>>> contexts(
+      config.num_threads);
 
   for (int t = 0; t < config.num_threads; ++t) {
     engine.Spawn(t, [&, t] {
       runtime::Xoshiro256 rng(config.spec.seed * 0x9e3779b97f4a7c15ull + t);
       // One context per lock instance, lazily created on first touch: a thread that
       // never reaches a shard never pays for (or perturbs) its queue node state.
-      std::vector<std::vector<std::unique_ptr<Lock::Context>>> ctx(num_sites);
+      auto& ctx = contexts[t];
+      ctx.resize(num_sites);
       for (size_t s = 0; s < num_sites; ++s) {
         ctx[s].resize(locks[s].size());
       }
@@ -195,6 +201,8 @@ ServiceBenchResult RunServiceBench(const ServiceBenchConfig& config) {
         request_latency_ns.push_back(sim::NsFromPs(eng.Now()) - next_arrival_ns);
         eng.ReportProgress();
       }
+      ctx.clear();
+      ctx.shrink_to_fit();
     });
   }
   engine.Run();

@@ -398,9 +398,9 @@ class Engine {
   // cost and updates coherence state, FinishAccess emits trace events, delivers
   // wakeups for value-changing writes, and advances the clock. The apply callable
   // runs between them, at the linearization point. Both are defined inline (bottom of
-  // this header) so each Access instantiation specializes them for its compile-time
-  // OpKind — the write-path cost model compiles out of every load site and vice
-  // versa; only the cold tails (waiter wakeup, reschedule) stay in engine.cc.
+  // this header), but GCC keeps one out-of-line copy of each that every Access
+  // instantiation calls, with `kind` as a runtime argument (docs/SIM_ENGINE.md); the
+  // cold tails (waiter wakeup, reschedule) live in engine.cc.
   struct PreparedAccess {
     LineHot* hot = nullptr;  // arena-backed: stable across the apply callback
     uintptr_t line_addr = 0;
@@ -494,12 +494,12 @@ class Engine {
 
 // --- Inline hot-path definitions ---
 //
-// Everything below runs once (or more) per simulated atomic access. Defining it here
-// rather than in engine.cc lets each Access<Apply> instantiation inline the pipeline
-// with `kind` as a compile-time constant: load call sites compile the write-path cost
-// model away entirely and vice versa, and the apply callable fuses into the middle.
-// Cold tails — first-touch line claims, index growth, trace emission, waiter wakeup,
-// the actual fiber switch — stay out-of-line in engine.cc.
+// Everything below runs once (or more) per simulated atomic access. The small helpers
+// (LineIndexFor, MissFrom) inline into PrepareAccess; PrepareAccess and FinishAccess
+// themselves are emitted once, out of line, and called from every Access<Apply>
+// instantiation with `kind` as a runtime argument, so the load and write cost models
+// share one body. Cold tails — first-touch line claims, index growth, trace emission,
+// waiter wakeup, the actual fiber switch — are out-of-line in engine.cc.
 
 inline uint32_t Engine::LineIndexFor(uintptr_t line_addr) {
   const size_t mask = line_index_.size() - 1;

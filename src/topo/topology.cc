@@ -1,7 +1,6 @@
 #include "src/topo/topology.h"
 
 #include <algorithm>
-#include <map>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -50,13 +49,16 @@ Topology::Topology(std::string name, int num_cpus, std::vector<Level> levels)
     throw std::invalid_argument("highest level must be a single system-wide cohort");
   }
   // Levels must nest: two CPUs sharing a cohort at level i must share one at level i+1.
+  // parent_of[low] records the first level-(i+1) cohort seen for each level-i cohort.
+  std::vector<int> parent_of;
   for (size_t i = 0; i + 1 < levels_.size(); ++i) {
-    std::map<int, int> low_to_high;
+    parent_of.assign(static_cast<size_t>(levels_[i].num_cohorts), -1);
     for (int cpu = 0; cpu < num_cpus_; ++cpu) {
-      int low = levels_[i].cpu_to_cohort[cpu];
-      int high = levels_[i + 1].cpu_to_cohort[cpu];
-      auto [it, inserted] = low_to_high.emplace(low, high);
-      if (!inserted && it->second != high) {
+      int& parent = parent_of[static_cast<size_t>(levels_[i].cpu_to_cohort[cpu])];
+      const int high = levels_[i + 1].cpu_to_cohort[cpu];
+      if (parent < 0) {
+        parent = high;
+      } else if (parent != high) {
         throw std::invalid_argument("levels '" + levels_[i].name + "' and '" +
                                     levels_[i + 1].name + "' do not nest");
       }
@@ -82,31 +84,11 @@ Topology::Topology(std::string name, int num_cpus, std::vector<Level> levels)
       index.members[static_cast<size_t>(next[level.cpu_to_cohort[cpu]]++)] = cpu;
     }
   }
-  // Precompute the pairwise sharing-level matrix (see SharingLevel in the header): every
-  // pair starts at the single-cohort top level, then each lower level, top down,
-  // overwrites the pairs inside its cohorts, so a pair ends at the lowest level whose
-  // cohort it shares. One store per pair per shared level, no per-pair level scan.
-  const size_t n = static_cast<size_t>(num_cpus_);
-  sharing_level_.assign(n * n, static_cast<int8_t>(num_levels() - 1));
-  for (int i = num_levels() - 2; i >= 0; --i) {
-    for (int cohort = 0; cohort < levels_[i].num_cohorts; ++cohort) {
-      const CpuSpan members = CohortMembers(i, cohort);
-      for (int a : members) {
-        int8_t* row = sharing_level_.data() + static_cast<size_t>(a) * n;
-        for (int b : members) {
-          row[b] = static_cast<int8_t>(i);
-        }
-      }
-    }
-  }
-  for (size_t a = 0; a < n; ++a) {
-    sharing_level_[a * n + a] = static_cast<int8_t>(kSameCpu);
-  }
   // Pack the per-CPU path signatures for the SharingLevel fast path (header comment).
   // Field widths: bit_width(num_cohorts - 1) per level (0 bits for the single-cohort
   // system level — equal everywhere, so it needs no representation), bit_width(cpus-1)
-  // for the bottom CPU-id field. Skipped if the total overflows 64 bits (the matrix
-  // then serves lookups directly).
+  // for the bottom CPU-id field. Skipped if the total overflows 64 bits (lookups then
+  // fall back to SharingLevelByScan).
   {
     auto width_for = [](int distinct) {
       return distinct <= 1 ? 0 : 64 - __builtin_clzll(static_cast<uint64_t>(distinct) - 1);
@@ -139,6 +121,17 @@ Topology::Topology(std::string name, int num_cpus, std::vector<Level> levels)
       }
     }
   }
+}
+
+int Topology::SharingLevelByScan(int a, int b) const {
+  if (a == b) {
+    return kSameCpu;
+  }
+  int level = 0;
+  while (levels_[level].cpu_to_cohort[a] != levels_[level].cpu_to_cohort[b]) {
+    ++level;  // terminates: the top level is a single cohort
+  }
+  return level;
 }
 
 int Topology::LevelIndexByName(const std::string& level_name) const {

@@ -54,27 +54,25 @@ class Topology {
   // a == b. Always succeeds otherwise because the top level spans all CPUs.
   //
   // This sits on the simulator's access hot path (several lookups per simulated atomic
-  // access: miss sourcing, invalidation rounds, wakeup attribution). The primary
-  // representation is one packed path signature per CPU — the cohort id at every level
-  // concatenated into a uint64, lowest level in the lowest bits, with the CPU id itself
-  // as a virtual bottom field. Because levels nest, the highest bit at which two
-  // signatures differ falls in the field of the highest level whose cohorts differ, so
-  // the sharing level is one 64-entry table lookup away. Two 8-byte loads from an
-  // 8KB-per-1024-CPUs table stay L1-resident where the naive per-pair matrix (1MB at
-  // 1024 CPUs) thrashes the cache; the int8 matrix is still built as the validation
-  // reference and as the fallback for degenerate topologies whose packed fields
-  // overflow 64 bits.
+  // access: miss sourcing, invalidation rounds, wakeup attribution). The representation
+  // is one packed path signature per CPU — the cohort id at every level concatenated
+  // into a uint64, lowest level in the lowest bits, with the CPU id itself as a virtual
+  // bottom field. Because levels nest, the highest bit at which two signatures differ
+  // falls in the field of the highest level whose cohorts differ, so the sharing level
+  // is one 64-entry table lookup away: two 8-byte loads from an 8KB-per-1024-CPUs
+  // table, no per-pair storage. Degenerate topologies whose packed fields overflow
+  // 64 bits fall back to SharingLevelByScan.
   int SharingLevel(int a, int b) const {
     if (!path_sig_.empty()) {
       const uint64_t diff = path_sig_[a] ^ path_sig_[b];
       return diff == 0 ? kSameCpu : sig_bit_level_[63 - __builtin_clzll(diff)];
     }
-    return sharing_level_[static_cast<size_t>(a) * static_cast<size_t>(num_cpus_) + b];
+    return SharingLevelByScan(a, b);
   }
-  // The matrix representation directly (tests assert the signature path agrees).
-  int SharingLevelFromMatrix(int a, int b) const {
-    return sharing_level_[static_cast<size_t>(a) * static_cast<size_t>(num_cpus_) + b];
-  }
+  // The same answer by definition: a bottom-up walk over the levels' cpu_to_cohort
+  // until the cohorts agree. O(levels) per call and no stored table; the fallback for
+  // signature overflow and the reference tests check the signature path against.
+  int SharingLevelByScan(int a, int b) const;
   static constexpr int kSameCpu = -1;
 
   // CPUs belonging to cohort `cohort` of level `level_index`, in id order.
@@ -124,11 +122,6 @@ class Topology {
   std::string name_;
   int num_cpus_;
   std::vector<Level> levels_;
-  // sharing_level_[a * num_cpus_ + b]: lowest shared level, kSameCpu on the diagonal.
-  // int8 keeps the whole matrix compact (16KB for 128 CPUs, 1MB at 1024 — still far
-  // cheaper than the per-level scan it replaces); topologies are bounded well below
-  // 127 levels.
-  std::vector<int8_t> sharing_level_;
   // Packed per-CPU path signatures for the SharingLevel fast path (see accessor
   // comment). Empty when the packed fields would overflow 64 bits. sig_bit_level_
   // maps each signature bit position to the sharing level implied by two signatures

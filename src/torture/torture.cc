@@ -86,6 +86,9 @@ RunOutcome TortureOnce(const TortureConfig& config, const std::string& lock_name
   // simulated accesses, so plain variables observe every interleaving exactly.
   int in_cs = 0;
   std::vector<uint64_t> ops(config.num_threads, 0);
+  // Lock contexts are owned here, not by the fibers: a fiber parked by a deadlock or a
+  // watchdog stop is never unwound (same scheme as harness::RunLockBench).
+  std::vector<std::unique_ptr<Lock::Context>> contexts(config.num_threads);
 
   for (int t = 0; t < config.num_threads; ++t) {
     // Same churn formula as the benchmark harness (src/harness/lock_bench.cc), so a
@@ -101,7 +104,8 @@ RunOutcome TortureOnce(const TortureConfig& config, const std::string& lock_name
     }
     engine.Spawn(t, [&, t, thread_end] {
       runtime::Xoshiro256 rng(config.seed * 0x9e3779b97f4a7c15ull + t);
-      auto ctx = lock->MakeContext();
+      std::unique_ptr<Lock::Context>& ctx = contexts[t];
+      ctx = lock->MakeContext();
       auto& eng = sim::Engine::Current();
       uint64_t attempts = 0;
       while (eng.Now() < thread_end) {
@@ -162,6 +166,7 @@ RunOutcome TortureOnce(const TortureConfig& config, const std::string& lock_name
         ++ops[t];
         eng.ReportProgress();  // one critical section completed
       }
+      ctx.reset();
     });
   }
   if (plan.interference.enabled) {

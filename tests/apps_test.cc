@@ -3,6 +3,8 @@
 // path).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -73,6 +75,16 @@ TEST(MiniLevelDbTest, KeyForIsFixedWidthAndOrdered) {
   EXPECT_EQ(MiniLevelDb::KeyFor(7).size(), 16u);
   EXPECT_LT(MiniLevelDb::KeyFor(9), MiniLevelDb::KeyFor(10));
   EXPECT_LT(MiniLevelDb::KeyFor(99), MiniLevelDb::KeyFor(100));
+  EXPECT_EQ(MiniLevelDb::KeyFor(0), "0000000000000000");
+  EXPECT_EQ(MiniLevelDb::KeyFor(42), "0000000000000042");
+  // The widest key: 10^16 - 1 fills all 16 digits and still orders after 10^15.
+  constexpr uint64_t kMax = 9'999'999'999'999'999ull;
+  EXPECT_EQ(MiniLevelDb::KeyFor(kMax), "9999999999999999");
+  EXPECT_EQ(MiniLevelDb::KeyFor(1'000'000'000'000'000ull), "1000000000000000");
+  EXPECT_LT(MiniLevelDb::KeyFor(1'000'000'000'000'000ull), MiniLevelDb::KeyFor(kMax));
+  // 10^16 needs a 17th digit: rejected instead of truncated into a collision with 10^15.
+  EXPECT_THROW(MiniLevelDb::KeyFor(kMax + 1), std::out_of_range);
+  EXPECT_THROW(MiniLevelDb::KeyFor(UINT64_MAX), std::out_of_range);
 }
 
 TEST(MiniLevelDbTest, ConcurrentMixedWorkloadThroughClofLock) {

@@ -105,6 +105,14 @@ TEST(TopologyTest, RejectsNonNestingLevels) {
   Level b{.name = "b", .cpu_to_cohort = {1, 0, 0, 1}, .num_cohorts = 2};
   Level sys{.name = "system", .cpu_to_cohort = {0, 0, 0, 0}, .num_cohorts = 1};
   EXPECT_THROW(Topology("bad", 4, {a, b, sys}), std::invalid_argument);
+  // 1024 CPUs: 24-wide NUMA groups straddle the 128-wide packages (CPUs 120..143 share
+  // NUMA cohort 5 but split across packages 0 and 1), deep inside the cohort range.
+  try {
+    Topology::FromSpec("skew1024:1024;cache=4;numa=24;package=128");
+    FAIL() << "non-nesting 1024-CPU spec was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "levels 'numa' and 'package' do not nest");
+  }
 }
 
 TEST(TopologyTest, RejectsMultiCohortTop) {
@@ -188,14 +196,14 @@ TEST(TopologyTest, DataCenterPresetsSatisfyPartitionLaws) {
 // SharingLevel is an ultrametric over the hierarchy: symmetric, kSameCpu exactly on
 // the diagonal, equal to the first level whose cohorts agree, and satisfying the
 // strong triangle inequality d(a,c) <= max(d(a,b), d(b,c)). The full 1024^2 pair scan
-// also pins the packed-signature fast path to the matrix it replaces.
+// also pins the packed-signature fast path to the bottom-up level scan.
 void ExpectSharingLevelLaws(const Topology& t) {
   for (int a = 0; a < t.num_cpus(); ++a) {
     for (int b = 0; b < t.num_cpus(); ++b) {
       const int level = t.SharingLevel(a, b);
-      ASSERT_EQ(level, t.SharingLevelFromMatrix(a, b))
-          << t.name() << ": signature path diverges from matrix at (" << a << "," << b
-          << ")";
+      ASSERT_EQ(level, t.SharingLevelByScan(a, b))
+          << t.name() << ": signature path diverges from the level scan at (" << a << ","
+          << b << ")";
       ASSERT_EQ(level, t.SharingLevel(b, a)) << t.name() << " (" << a << "," << b << ")";
       if (a == b) {
         ASSERT_EQ(level, Topology::kSameCpu);
@@ -243,10 +251,10 @@ TEST(TopologyTest, SignaturePathHandlesNonPowerOfTwoFields) {
   ExpectSharingLevelLaws(t);
 }
 
-TEST(TopologyTest, SignatureOverflowFallsBackToMatrix) {
+TEST(TopologyTest, SignatureOverflowFallsBackToLevelScan) {
   // 2048 CPUs and ten levels need 11 + (10 + 9 + ... + 1) = 66 signature bits — past
-  // the 64-bit budget, so this topology must serve SharingLevel from the matrix. The
-  // laws have to hold identically; only the lookup path differs.
+  // the 64-bit budget, so this topology must serve SharingLevel from the level scan.
+  // The laws have to hold identically; only the lookup path differs.
   Topology t = Topology::FromSpec(
       "deep2048:2048;l1=2;l2=4;l3=8;l4=16;l5=32;l6=64;l7=128;l8=256;l9=512;l10=1024");
   ASSERT_EQ(t.num_cpus(), 2048);
